@@ -1,12 +1,14 @@
-//! Parallel-scaling benchmarks: the sharded flow processor across shard
-//! counts — the concrete answer to the paper's §V call for "faster
-//! processing capabilities" at production volume.
+//! Parallel-scaling benchmark: the threaded detection runtime across
+//! shard counts — the concrete answer to the paper's §V call for
+//! "faster processing capabilities" at production volume. Each shard
+//! owns its flow table, triage stage and prediction loop
+//! (`ThreadedPipeline::with_shards`), so this measures the live
+//! daemon's scale-out path end to end over an in-memory replay.
 
-use amlight_core::batch::BatchDetector;
-use amlight_core::event::Telemetry;
+use amlight_core::runtime::ThreadedPipeline;
 use amlight_core::testbed::{Testbed, TestbedConfig};
 use amlight_core::trainer::{dataset_from_events, train_bundle, TrainerConfig};
-use amlight_features::{FeatureSet, FlowTableConfig, FlowUpdate, ShardedFlowTable};
+use amlight_features::FeatureSet;
 use amlight_int::IntInstrumenter;
 use amlight_ml::MlpConfig;
 use amlight_net::Trace;
@@ -30,29 +32,7 @@ fn telemetry(packets: usize) -> Vec<amlight_int::TelemetryReport> {
     IntInstrumenter::amlight().instrument(&trace, &sim)
 }
 
-fn bench_sharded_scaling(c: &mut Criterion) {
-    let reports = telemetry(50_000);
-    let updates: Vec<FlowUpdate> = reports.iter().map(|r| r.flow_update()).collect();
-    let mut g = c.benchmark_group("sharded_flow_table");
-    g.throughput(Throughput::Elements(updates.len() as u64));
-    g.sample_size(20);
-    for shards in [1usize, 2, 4, 8, 16] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(shards),
-            &shards,
-            |b, &shards| {
-                b.iter_batched(
-                    || ShardedFlowTable::new(FlowTableConfig::default(), shards),
-                    |mut table| table.apply_batch(&updates),
-                    BatchSize::LargeInput,
-                )
-            },
-        );
-    }
-    g.finish();
-}
-
-fn bench_batch_detector(c: &mut Criterion) {
+fn bench_threaded_shards(c: &mut Criterion) {
     // Train once, then measure the full sharded detect path per shard
     // count.
     let lab = Testbed::new(TestbedConfig::default());
@@ -77,17 +57,22 @@ fn bench_batch_detector(c: &mut Criterion) {
     );
     let reports = telemetry(30_000);
 
-    let mut g = c.benchmark_group("batch_detector");
+    let mut g = c.benchmark_group("threaded_shards");
     g.throughput(Throughput::Elements(reports.len() as u64));
     g.sample_size(15);
-    for shards in [1usize, 4, 16] {
+    for shards in [1usize, 2, 4] {
         g.bench_with_input(
             BenchmarkId::from_parameter(shards),
             &shards,
             |b, &shards| {
                 b.iter_batched(
-                    || BatchDetector::new(bundle.clone(), FlowTableConfig::default(), shards),
-                    |mut det| det.detect_batch(&reports),
+                    || {
+                        (
+                            ThreadedPipeline::new(bundle.clone()).with_shards(shards),
+                            reports.clone(),
+                        )
+                    },
+                    |(pipe, reports)| pipe.run(reports).expect("no module thread panicked"),
                     BatchSize::LargeInput,
                 )
             },
@@ -96,5 +81,5 @@ fn bench_batch_detector(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_sharded_scaling, bench_batch_detector);
+criterion_group!(benches, bench_threaded_shards);
 criterion_main!(benches);

@@ -122,10 +122,7 @@ fn run_mode(
     let seqs = pipe.database().verdict_sequences();
     let flagged = attack_flows
         .iter()
-        .filter(|key| {
-            seqs.get(key)
-                .is_some_and(|seq| seq.contains(&Some(true)))
-        })
+        .filter(|key| seqs.get(key).is_some_and(|seq| seq.contains(&Some(true))))
         .count() as u64;
     let t = stats.triage;
     ModeRecord {

@@ -341,11 +341,12 @@ pub fn table1_schedule(day_len_s: u64) -> Vec<String> {
         .collect()
 }
 
-/// **Table II**: feature availability matrix, INT vs sFlow.
+/// **Table II**: feature availability matrix, INT vs sFlow, over the
+/// paper's 15 canonical columns.
 pub fn table2_features() -> Vec<String> {
-    FeatureId::ALL
-        .into_iter()
-        .map(|f| {
+    FeatureId::ALL[..FeatureId::CANONICAL]
+        .iter()
+        .map(|&f| {
             format!(
                 "{:<26} INT: ✓   sFlow: {}",
                 f.name(),

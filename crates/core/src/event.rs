@@ -450,7 +450,7 @@ pub fn sample_reports(
 /// report is one packet, digested down to `bits` and reconstructed in
 /// arrival order — exactly what a PINT-instrumented path plus collector
 /// would have produced for the same traffic. The PINT sibling of
-/// [`sample_reports`], feeding `PintReplaySource` and the CLI.
+/// [`sample_reports`], feeding `ReplaySource` and the CLI.
 pub fn pint_view(
     labeled: &[(TelemetryReport, TrafficClass)],
     bits: u8,

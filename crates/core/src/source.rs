@@ -12,19 +12,13 @@
 //!   is `IterSource::from(vec)`);
 //! * [`ChannelSource`] — a bounded crossbeam channel fed by external
 //!   producers; the stream ends when every sender is dropped;
-//! * [`ReplaySource`] — an INT capture replayed in export-time order,
-//!   labels preserved, the shape the experiment binaries feed the
-//!   runtime;
+//! * [`ReplaySource`] — a capture from any backend replayed in native
+//!   timestamp order, labels preserved: the shape the experiment
+//!   binaries feed the runtime (derive non-INT views with
+//!   [`crate::event::TelemetryBackend::derive_view`]);
 //! * [`CollectorSource`] — an [`amlight_int::IntCollector`] adapter that
 //!   decodes a raw sink byte stream chunk by chunk, tolerating split and
 //!   malformed reports exactly like the standalone collector;
-//! * [`SflowReplaySource`] — the sFlow twin of [`ReplaySource`]: labeled
-//!   samples replayed in observation order;
-//! * [`PintReplaySource`] — the PINT twin: labeled k-bit digests
-//!   replayed in export order (derive them from an INT capture with
-//!   [`crate::event::pint_view`]);
-//! * [`EventReplaySource`] — the backend-agnostic form registry-driven
-//!   callers use: any `Vec<LabeledEvent>` replayed in timestamp order;
 //! * [`SflowAgentSource`] — an [`SflowAgent`] driven over a packet
 //!   trace, emitting only the packets the sampling state machine
 //!   selects (the live-agent shape of the paper's sFlow baseline).
@@ -33,11 +27,10 @@
 //! collection stage stay responsive to `stop()` while a live source has
 //! nothing to hand over yet.
 
-use crate::event::{LabeledEvent, Telemetry};
+use crate::event::{LabeledEvent, Telemetry, TelemetryEvent};
 use crate::mailbox::EventMailbox;
 use amlight_int::{IntCollector, TelemetryReport};
 use amlight_net::{PacketRecord, Trace, TrafficClass};
-use amlight_pint::PintReport;
 use amlight_sflow::{FlowSample, SflowAgent};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::VecDeque;
@@ -170,149 +163,40 @@ impl EventSource for ChannelSource {
     }
 }
 
-/// Restore a batch of labeled events to native-timestamp order and
-/// stream them once — shared by both backends' replay sources.
-fn replay_order(mut events: Vec<LabeledEvent>) -> std::vec::IntoIter<LabeledEvent> {
-    events.sort_by_key(|e| e.event.event_ns());
-    events.into_iter()
-}
-
-/// An INT capture replay: reports are re-sorted into export-time order
-/// (the order the collector would have emitted them) and streamed once.
-/// Labels survive the trip — [`ReplaySource::from_labeled`] threads the
-/// capture's ground truth into every event, so a streaming run can
-/// report recall directly.
+/// A capture replay from any backend: events are re-sorted into
+/// native-timestamp order (the order the collector would have emitted
+/// them) and streamed once. Labels survive the trip —
+/// [`ReplaySource::from_labeled`] threads the capture's ground truth
+/// into every event, so a streaming run can report recall directly.
 #[derive(Debug)]
 pub struct ReplaySource {
     events: std::vec::IntoIter<LabeledEvent>,
 }
 
 impl ReplaySource {
-    pub fn new(reports: Vec<TelemetryReport>) -> Self {
+    /// Replay already-labeled events (e.g. the `Vec<LabeledEvent>`
+    /// [`crate::event::TelemetryBackend::derive_view`] hands back).
+    pub fn new(mut events: Vec<LabeledEvent>) -> Self {
+        events.sort_by_key(|e| e.event.event_ns());
         Self {
-            events: replay_order(reports.into_iter().map(LabeledEvent::from).collect()),
+            events: events.into_iter(),
         }
     }
 
-    /// Replay a labeled capture (the experiment binaries' and CLI's
-    /// on-disk format) with the ground truth riding along.
-    pub fn from_labeled(labeled: &[(TelemetryReport, TrafficClass)]) -> Self {
-        Self {
-            events: replay_order(
-                labeled
-                    .iter()
-                    .map(|(r, c)| LabeledEvent::with_truth(r.clone().into(), *c))
-                    .collect(),
-            ),
-        }
+    /// Replay a labeled capture of INT reports, sFlow samples or PINT
+    /// digests (the experiment binaries' and CLI's on-disk format) with
+    /// the ground truth riding along.
+    pub fn from_labeled<E: Clone + Into<TelemetryEvent>>(labeled: &[(E, TrafficClass)]) -> Self {
+        Self::new(
+            labeled
+                .iter()
+                .map(|(e, c)| LabeledEvent::with_truth(e.clone().into(), *c))
+                .collect(),
+        )
     }
 }
 
 impl EventSource for ReplaySource {
-    fn poll_event(&mut self) -> SourcePoll {
-        match self.events.next() {
-            Some(e) => SourcePoll::Event(Box::new(e)),
-            None => SourcePoll::End,
-        }
-    }
-}
-
-/// The sFlow twin of [`ReplaySource`]: samples replayed in observation
-/// order, labels preserved.
-#[derive(Debug)]
-pub struct SflowReplaySource {
-    events: std::vec::IntoIter<LabeledEvent>,
-}
-
-impl SflowReplaySource {
-    pub fn new(samples: Vec<FlowSample>) -> Self {
-        Self {
-            events: replay_order(samples.into_iter().map(LabeledEvent::from).collect()),
-        }
-    }
-
-    /// Replay labeled samples (e.g. from [`SflowAgent::sample_stream`]
-    /// or [`crate::event::sample_reports`]) with ground truth attached.
-    pub fn from_labeled(labeled: &[(FlowSample, TrafficClass)]) -> Self {
-        Self {
-            events: replay_order(
-                labeled
-                    .iter()
-                    .map(|(s, c)| LabeledEvent::with_truth((*s).into(), *c))
-                    .collect(),
-            ),
-        }
-    }
-}
-
-impl EventSource for SflowReplaySource {
-    fn poll_event(&mut self) -> SourcePoll {
-        match self.events.next() {
-            Some(e) => SourcePoll::Event(Box::new(e)),
-            None => SourcePoll::End,
-        }
-    }
-}
-
-/// The PINT twin of [`ReplaySource`]: k-bit digest reports replayed in
-/// export order, labels preserved. Feed it [`crate::event::pint_view`]
-/// to derive the digest stream from an existing INT capture — the PINT
-/// mirror of how [`crate::event::sample_reports`] derives the sFlow
-/// view.
-#[derive(Debug)]
-pub struct PintReplaySource {
-    events: std::vec::IntoIter<LabeledEvent>,
-}
-
-impl PintReplaySource {
-    pub fn new(reports: Vec<PintReport>) -> Self {
-        Self {
-            events: replay_order(reports.into_iter().map(LabeledEvent::from).collect()),
-        }
-    }
-
-    /// Replay labeled digests (e.g. from [`crate::event::pint_view`])
-    /// with ground truth attached.
-    pub fn from_labeled(labeled: &[(PintReport, TrafficClass)]) -> Self {
-        Self {
-            events: replay_order(
-                labeled
-                    .iter()
-                    .map(|(r, c)| LabeledEvent::with_truth((*r).into(), *c))
-                    .collect(),
-            ),
-        }
-    }
-}
-
-impl EventSource for PintReplaySource {
-    fn poll_event(&mut self) -> SourcePoll {
-        match self.events.next() {
-            Some(e) => SourcePoll::Event(Box::new(e)),
-            None => SourcePoll::End,
-        }
-    }
-}
-
-/// Backend-agnostic replay: any mix of already-labeled events, restored
-/// to native-timestamp order. This is what registry-driven callers use
-/// ([`crate::event::TelemetryBackend::derive_view`] hands back
-/// `Vec<LabeledEvent>` for *any* backend) — no per-backend source type
-/// needed at the call site.
-#[derive(Debug)]
-pub struct EventReplaySource {
-    events: std::vec::IntoIter<LabeledEvent>,
-}
-
-impl EventReplaySource {
-    pub fn new(events: Vec<LabeledEvent>) -> Self {
-        Self {
-            events: replay_order(events),
-        }
-    }
-}
-
-impl EventSource for EventReplaySource {
     fn poll_event(&mut self) -> SourcePoll {
         match self.events.next() {
             Some(e) => SourcePoll::Event(Box::new(e)),
@@ -532,7 +416,6 @@ impl EventSource for SocketSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TelemetryEvent;
     use crate::mailbox::OverflowPolicy;
     use amlight_int::{HopMetadata, InstructionSet};
     use amlight_net::{FlowKey, PacketBuilder, Protocol};
@@ -632,7 +515,7 @@ mod tests {
     fn replay_source_orders_by_export_time() {
         let mut shuffled = vec![report(3), report(1), report(2)];
         shuffled.swap(0, 2);
-        let mut src = ReplaySource::new(shuffled);
+        let mut src = ReplaySource::new(shuffled.into_iter().map(LabeledEvent::from).collect());
         let got = int_events(&drain(&mut src));
         assert_eq!(got, vec![report(1), report(2), report(3)]);
     }
@@ -659,7 +542,7 @@ mod tests {
             (sample(1), TrafficClass::Benign),
             (sample(3), TrafficClass::SlowLoris),
         ];
-        let mut src = SflowReplaySource::from_labeled(&labeled);
+        let mut src = ReplaySource::from_labeled(&labeled);
         let got = drain(&mut src);
         let times: Vec<u64> = got.iter().map(|e| e.event.event_ns()).collect();
         assert_eq!(times, vec![700, 2100, 3500]);

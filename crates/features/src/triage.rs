@@ -197,10 +197,11 @@ fn mix64(mut x: u64) -> u64 {
 /// A count-min sketch whose counters halve at every window rollover —
 /// a cheap exponential decay that can never underflow (`u64 >> 1`).
 ///
-/// Unlike the post-hoc guard's epoch sketch (clear-and-restart, in
-/// `amlight_core::guard`), windowed halving keeps ~one window of history in
+/// Triage decays it by halving, which keeps ~one window of history in
 /// the estimate, so a flow that just went quiet does not instantly look
-/// cold. Width is a power of two: hot-path indexing is mask-and-add.
+/// cold. The post-hoc guard (`amlight_core::guard`) uses the same
+/// sketch with [`WindowedCountMin::clear`] for clear-and-restart epochs.
+/// Width is a power of two: hot-path indexing is mask-and-add.
 #[derive(Debug, Clone)]
 pub struct WindowedCountMin {
     width_mask: usize,
@@ -275,6 +276,11 @@ impl WindowedCountMin {
         for c in &mut self.counters {
             *c >>= 1;
         }
+    }
+
+    /// Zero every counter — the start of a fresh epoch.
+    pub fn clear(&mut self) {
+        self.counters.fill(0);
     }
 }
 
@@ -797,6 +803,11 @@ mod tests {
         for k in 0..500u64 {
             assert!(cm.estimate(k) > k % 7, "key {k}");
         }
+        // A cleared sketch forgets a hot key and counts it again from zero.
+        cm.clear();
+        assert_eq!(cm.estimate(6), 0);
+        assert_eq!(cm.observe(6), 1);
+        assert_eq!(cm.estimate(6), 1);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! sources (every registered backend), the start/drain/stop lifecycle,
 //! label threading, and shard-count invariance of the detection output.
 
-use amlight::core::event::{pint_view, sample_reports, Telemetry};
+use amlight::core::event::{pint_view, sample_reports, LabeledEvent, Telemetry};
 use amlight::core::runtime::ThreadedPipeline;
-use amlight::core::source::{ChannelSource, CollectorSource, PintReplaySource, ReplaySource};
+use amlight::core::source::{ChannelSource, CollectorSource, ReplaySource};
 use amlight::core::trainer::{dataset_from_events, train_bundle, ModelBundle, TrainerConfig};
 use amlight::features::{
     FeatureId, FeatureSet, FlowTable, FlowTableConfig, FlowUpdate, UpdateKind,
@@ -472,20 +472,16 @@ fn pint_shard_count_is_invisible_to_verdicts() {
             ..Default::default()
         },
     );
-    let test_reports: Vec<PintReport> = test.iter().map(|(r, _)| *r).collect();
+    let test_events: Vec<LabeledEvent> = test.iter().map(|(r, _)| LabeledEvent::from(*r)).collect();
 
     let mut baseline = None;
     for shards in [1usize, 2, 8] {
         let pipe = ThreadedPipeline::new(b.clone()).with_shards(shards);
         let stats = pipe
-            .start(PintReplaySource::new(test_reports.clone()))
+            .start(ReplaySource::new(test_events.clone()))
             .join()
             .expect("no module thread panicked");
-        assert_eq!(
-            stats.events_in,
-            test_reports.len() as u64,
-            "{shards} shards"
-        );
+        assert_eq!(stats.events_in, test_events.len() as u64, "{shards} shards");
         let seqs = pipe.database().verdict_sequences();
         match &baseline {
             None => baseline = Some(seqs),
