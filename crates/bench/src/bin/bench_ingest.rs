@@ -22,7 +22,8 @@
 //!    the sender blasts, then an exact audit — every decoded event must
 //!    be accounted for as drained-after-the-fact or counted dropped.
 //!
-//! Writes `BENCH_ingest.json` at the repo root. `--check` turns the
+//! Writes `BENCH_ingest.json` at the repo root (a `--fast` run prints
+//! it instead). `--check` turns the
 //! acceptance gates into process failures: ≥2× the baseline
 //! datagrams/s at 4 listeners, zero steady-state allocations, and
 //! exact slow-consumer accounting.
@@ -35,7 +36,7 @@
 //!
 //! Usage: `bench_ingest [--fast] [--seed N] [--check]`
 
-use amlight_bench::util::{arg_seed, banner, flag_fast};
+use amlight_bench::util::{arg_seed, banner, flag_fast, write_bench_artifact};
 use amlight_core::{ChannelSource, EventMailbox, EventSource, LabeledEvent, SourcePoll};
 use amlight_ingest::{IngestServer, IngestStats, ListenerConfig, WireProtocol};
 use amlight_int::{HopMetadata, InstructionSet, IntCollector, TelemetryReport};
@@ -519,16 +520,7 @@ fn main() {
         alloc,
         slow_consumer: slow,
     };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_ingest.json", json) {
-                eprintln!("warn: cannot write BENCH_ingest.json: {e}");
-            } else {
-                eprintln!("(wrote BENCH_ingest.json)");
-            }
-        }
-        Err(e) => eprintln!("warn: cannot serialize report: {e}"),
-    }
+    write_bench_artifact("BENCH_ingest.json", &report, fast);
 
     if check {
         let mut failed = false;

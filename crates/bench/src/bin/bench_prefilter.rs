@@ -20,12 +20,13 @@
 //! [`stats_alloc::Region`]: after warm-up the triage path must not
 //! allocate at all (the R6 static-allocation invariant, measured).
 //!
-//! Writes `BENCH_prefilter.json` at the repo root. `--check` turns the
+//! Writes `BENCH_prefilter.json` at the repo root (a `--fast` run prints
+//! it instead). `--check` turns the
 //! three gates into process failures.
 //!
 //! Usage: `bench_prefilter [--fast] [--seed N] [--check]`
 
-use amlight_bench::util::{arg_seed, banner, flag_fast};
+use amlight_bench::util::{arg_seed, banner, flag_fast, write_bench_artifact};
 use amlight_core::event::Telemetry;
 use amlight_core::runtime::ThreadedPipeline;
 use amlight_core::source::ReplaySource;
@@ -305,16 +306,7 @@ fn main() {
         recall_delta,
         alloc,
     };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_prefilter.json", json) {
-                eprintln!("warn: cannot write BENCH_prefilter.json: {e}");
-            } else {
-                eprintln!("(wrote BENCH_prefilter.json)");
-            }
-        }
-        Err(e) => eprintln!("warn: cannot serialize report: {e}"),
-    }
+    write_bench_artifact("BENCH_prefilter.json", &report, fast);
 
     if check {
         let mut failed = false;

@@ -15,13 +15,14 @@
 //! projection vectors) against the pooled hot path (`ingest_into`
 //! scratch, slab flow table, reused row buffer), with a counting global
 //! allocator reporting allocations per event. Writes the comparison to
-//! `BENCH_hotpath.json` at the repo root; `--check-allocs` exits
+//! `BENCH_hotpath.json` at the repo root (a `--fast` run prints it
+//! instead); `--check-allocs` exits
 //! non-zero if the pooled path allocates in steady state (the CI
 //! alloc-regression gate).
 //!
 //! Usage: `bench_streaming [--fast] [--seed N] [--check-allocs]`
 
-use amlight_bench::util::{arg_seed, banner, flag_fast, write_json};
+use amlight_bench::util::{arg_seed, banner, flag_fast, write_bench_artifact, write_json};
 use amlight_core::event::Telemetry;
 use amlight_core::runtime::ThreadedPipeline;
 use amlight_core::source::ChannelSource;
@@ -316,16 +317,7 @@ fn main() {
     // Isolated ingest stage: decode → table → features, before vs after
     // the allocation-free rework.
     let ingest = bench_ingest_stage(&reports, seed, check_allocs);
-    match serde_json::to_string_pretty(&ingest) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_hotpath.json", json) {
-                eprintln!("warn: cannot write BENCH_hotpath.json: {e}");
-            } else {
-                eprintln!("(wrote BENCH_hotpath.json)");
-            }
-        }
-        Err(e) => eprintln!("warn: cannot serialize ingest report: {e}"),
-    }
+    write_bench_artifact("BENCH_hotpath.json", &ingest, fast);
 
     banner(&format!(
         "streaming runtime: {} reports, shard sweep",

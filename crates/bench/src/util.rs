@@ -26,6 +26,21 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("results"))
 }
 
+/// Write a full run's report to the tracked artifact `path` (a
+/// `BENCH_*.json` at the repo root). A `--fast` smoke run prints the JSON
+/// to stdout instead, so it can never overwrite the committed full-run
+/// numbers. Failures are reported, not fatal.
+pub fn write_bench_artifact<T: Serialize>(path: &str, value: &T, fast: bool) {
+    match serde_json::to_string_pretty(value) {
+        Ok(json) if fast => println!("{json}"),
+        Ok(json) => match std::fs::write(path, json) {
+            Ok(()) => eprintln!("(wrote {path})"),
+            Err(e) => eprintln!("warn: cannot write {path}: {e}"),
+        },
+        Err(e) => eprintln!("warn: cannot serialize {path}: {e}"),
+    }
+}
+
 /// Serialize `value` to `results/<name>.json`, creating the directory.
 /// Failures are reported, not fatal — the printed table is the primary
 /// artifact.

@@ -52,7 +52,7 @@ pub mod trainer;
 pub mod verdict;
 
 pub use amlight_ml::{BundleMeta, MetaError, BUNDLE_SCHEMA_VERSION};
-pub use db::{FlowDatabase, PredictionRecord, UpdateEvent};
+pub use db::{FlowDatabase, PredictionRecord};
 pub use drift::{DriftConfig, DriftDetector};
 pub use epoch::{EpochHandle, PublishError, VersionedBundle};
 pub use event::{

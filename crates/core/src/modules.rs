@@ -8,10 +8,10 @@
 //! single source of truth for the module semantics:
 //!
 //! * [`Processor`] — Fig. 2's *Data Processor* ingest half plus the
-//!   *CentralServer*'s update-forwarding rule: flow-table update, one
-//!   record per flow in the [`FlowDatabase`], and feature-row projection
-//!   for **updated** flows only (brand-new flows are never forwarded to
-//!   Prediction, §III-3).
+//!   *CentralServer*'s update-forwarding rule: flow-table update (the
+//!   one record per flow), a lock-free count of the write in the
+//!   [`FlowDatabase`], and feature-row projection for **updated** flows
+//!   only (brand-new flows are never forwarded to Prediction, §III-3).
 //! * [`Predictor`] — Fig. 2's *Prediction* module: pre-fitted scaler +
 //!   pre-trained ensemble, one columnar [`ModelBundle::votes_batch`]
 //!   call per micro-batch.
@@ -207,7 +207,7 @@ impl<C: Clock> Processor<C> {
     /// Ingest one telemetry event — INT report, sFlow sample, or the
     /// unified [`crate::event::TelemetryEvent`]: lower it to the
     /// normalized [`amlight_features::FlowUpdate`] ([`Telemetry::flow_update`]),
-    /// apply it to the flow table, write the database record, grade the
+    /// apply it to the flow table, count the database write, grade the
     /// update through the optional triage stage, and — for updates that
     /// survive gating — append the projected feature row to `rows` and
     /// return the judged update (tagged with its prediction lane).

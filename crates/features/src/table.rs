@@ -203,7 +203,8 @@ impl Default for FlowTableConfig {
     }
 }
 
-/// Sentinel for an unoccupied bucket in the open-addressing index.
+/// Sentinel for an unoccupied bucket in the open-addressing index and
+/// for a missing recency-list link.
 const EMPTY: u32 = u32::MAX;
 
 /// Buckets allocated on the first insert (power of two).
@@ -220,8 +221,25 @@ const INITIAL_BUCKETS: usize = 16;
 /// performs **zero allocations in steady state** — only index growth
 /// (amortized, on new-flow creation) touches the allocator.
 ///
-/// Semantics are bit-identical to the pre-slab `FnvHashMap` table; the
-/// equivalence oracle lives in [`crate::reference::HashFlowTable`].
+/// An intrusive doubly linked recency list (`prev`/`next`, 8 B/slot)
+/// threads the slots from least to most recently touched; every hit and
+/// insert moves its slot to the tail. Eviction pops from the head, so it
+/// costs O(evicted + 1) instead of a walk over the whole slab:
+///
+/// - With a non-decreasing update clock (every replay source, and the
+///   `export_ns` of an in-order exporter) the list is sorted by
+///   `last_seen_ns`, so the idle sweep evicts exactly the records idle
+///   past the timeout and the capacity fallback evicts the longest-idle
+///   record. Among records with equal `last_seen_ns` the least recently
+///   touched one goes first.
+/// - Under a regressing clock (an untrusted wire `export_ns`) eviction
+///   follows recency, not timestamps: the sweep stops at the first head
+///   record that is not idle, and the fallback evicts the least recently
+///   touched record. Cost stays O(evicted + 1) either way.
+///
+/// With a non-decreasing, tie-free clock, semantics are bit-identical to
+/// the pre-slab `FnvHashMap` table; the equivalence oracle lives in
+/// [`crate::reference::HashFlowTable`].
 ///
 /// ```
 /// use amlight_features::{FlowTable, FlowTableConfig, FlowUpdate, UpdateKind};
@@ -252,6 +270,15 @@ pub struct FlowTable {
     /// Open-addressing index: slot number or [`EMPTY`], linear probing,
     /// power-of-two length.
     buckets: Vec<u32>,
+    /// Recency list links, parallel to `slots`: the neighbouring slot
+    /// towards the head (less recent) and the tail (more recent), or
+    /// [`EMPTY`] at either end.
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    /// Least recently touched slot, or [`EMPTY`] when the table is empty.
+    head: u32,
+    /// Most recently touched slot, or [`EMPTY`] when the table is empty.
+    tail: u32,
     created: u64,
     updated: u64,
     evicted: u64,
@@ -271,6 +298,10 @@ impl FlowTable {
             slots: Vec::new(),
             hashes: Vec::new(),
             buckets: Vec::new(),
+            prev: Vec::new(),
+            next: Vec::new(),
+            head: EMPTY,
+            tail: EMPTY,
             created: 0,
             updated: 0,
             evicted: 0,
@@ -321,6 +352,7 @@ impl FlowTable {
             Some(slot) => {
                 self.updated += 1;
                 self.slots[slot].update_seq += 1;
+                self.touch(slot);
                 (UpdateKind::Updated, slot)
             }
             None => {
@@ -344,32 +376,21 @@ impl FlowTable {
     /// Evict records idle past the timeout as of `now_ns`. Returns the
     /// number evicted. If nothing is idle but the table is over capacity,
     /// evicts the single longest-idle record (to guarantee progress).
-    // amlint: allow(R8) -- `i < slots.len()` loop bound; oldest index from enumerate()
+    ///
+    /// Both sweeps pop from the head of the recency list: O(evicted + 1).
+    /// See [`FlowTable`] for the victim order under tied or regressing
+    /// clocks.
+    // amlint: allow(R8) -- head is a live slot index (< slots.len()) whenever it is not EMPTY
     pub fn evict_idle(&mut self, now_ns: u64) -> usize {
         let deadline = now_ns.saturating_sub(self.cfg.idle_timeout_ns);
-        let before = self.slots.len();
-        let mut i = 0usize;
-        while i < self.slots.len() {
-            if self.slots[i].last_seen_ns < deadline {
-                // swap_remove refills slot i with the last record; do not
-                // advance, the replacement needs the same check.
-                self.remove_slot(i);
-            } else {
-                i += 1;
-            }
+        let mut evicted = 0usize;
+        while self.head != EMPTY && self.slots[self.head as usize].last_seen_ns < deadline {
+            self.remove_slot(self.head as usize);
+            evicted += 1;
         }
-        let mut evicted = before - self.slots.len();
-        if evicted == 0 && self.slots.len() >= self.cfg.max_flows {
-            let oldest = self
-                .slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, r)| r.last_seen_ns)
-                .map(|(i, _)| i);
-            if let Some(slot) = oldest {
-                self.remove_slot(slot);
-                evicted = 1;
-            }
+        if evicted == 0 && self.head != EMPTY && self.slots.len() >= self.cfg.max_flows {
+            self.remove_slot(self.head as usize);
+            evicted = 1;
         }
         self.evicted += evicted as u64;
         evicted
@@ -427,6 +448,9 @@ impl FlowTable {
         self.buckets[b] = slot as u32;
         self.slots.push(FlowRecord::new(key, now_ns)); // amlint: cold -- slab append, amortized
         self.hashes.push(hash); // amlint: cold -- slab append, amortized
+        self.prev.push(EMPTY); // amlint: cold -- slab append, amortized
+        self.next.push(EMPTY); // amlint: cold -- slab append, amortized
+        self.link_tail(slot as u32);
         slot
     }
 
@@ -479,16 +503,81 @@ impl FlowTable {
         }
         self.buckets[gap] = EMPTY;
 
-        // Fill the slab hole with the last record and fix its bucket.
+        // Unlink the record, fill the slab hole with the last record, and
+        // fix the moved record's bucket and recency-list neighbours.
+        self.unlink(slot as u32);
         let last = self.slots.len() - 1;
         self.slots.swap_remove(slot);
         self.hashes.swap_remove(slot);
+        self.prev.swap_remove(slot);
+        self.next.swap_remove(slot);
         if slot != last {
             let mut b = (self.hashes[slot] as usize) & mask;
             while self.buckets[b] != last as u32 {
                 b = (b + 1) & mask;
             }
             self.buckets[b] = slot as u32;
+            self.relink(slot as u32);
+        }
+    }
+
+    // ---- recency list ------------------------------------------------
+
+    /// Move `slot` to the tail (most recently touched end).
+    #[inline]
+    fn touch(&mut self, slot: usize) {
+        let slot = slot as u32;
+        if self.tail != slot {
+            self.unlink(slot);
+            self.link_tail(slot);
+        }
+    }
+
+    /// Append an unlinked `slot` at the tail.
+    // amlint: allow(R8) -- slot and tail are live slot indices (< slots.len()) or EMPTY-checked
+    #[inline]
+    fn link_tail(&mut self, slot: u32) {
+        self.prev[slot as usize] = self.tail;
+        self.next[slot as usize] = EMPTY;
+        if self.tail == EMPTY {
+            self.head = slot;
+        } else {
+            self.next[self.tail as usize] = slot;
+        }
+        self.tail = slot;
+    }
+
+    /// Detach `slot` from the list, joining its neighbours.
+    // amlint: allow(R8) -- slot is live; its links are live slot indices or EMPTY-checked
+    #[inline]
+    fn unlink(&mut self, slot: u32) {
+        let (p, n) = (self.prev[slot as usize], self.next[slot as usize]);
+        if p == EMPTY {
+            self.head = n;
+        } else {
+            self.next[p as usize] = n;
+        }
+        if n == EMPTY {
+            self.tail = p;
+        } else {
+            self.prev[n as usize] = p;
+        }
+    }
+
+    /// Point the neighbours of a record that `swap_remove` just moved
+    /// into `slot` at its new position.
+    // amlint: allow(R8) -- slot is live; its links are live slot indices or EMPTY-checked
+    fn relink(&mut self, slot: u32) {
+        let (p, n) = (self.prev[slot as usize], self.next[slot as usize]);
+        if p == EMPTY {
+            self.head = slot;
+        } else {
+            self.next[p as usize] = slot;
+        }
+        if n == EMPTY {
+            self.tail = slot;
+        } else {
+            self.prev[n as usize] = slot;
         }
     }
 }
@@ -756,6 +845,54 @@ mod tests {
             live = kept.to_vec();
         }
         assert_eq!(t.len(), live.len());
+    }
+
+    /// Churn at the cap under a regressing clock: hits and creations
+    /// interleave while `now_ns` jumps back and forth, as an untrusted
+    /// wire `export_ns` can. Eviction then follows recency, so an LRU
+    /// model predicts every victim; each creation over the cap evicts
+    /// exactly one record, and every live key stays findable across the
+    /// `swap_remove` relocations.
+    #[test]
+    fn regressing_clock_churn_at_cap_evicts_least_recently_touched() {
+        const CAP: usize = 32;
+        let mut t = FlowTable::new(FlowTableConfig {
+            idle_timeout_ns: u64::MAX / 2, // idle sweep never fires
+            max_flows: CAP,
+        });
+        // Front = least recently touched.
+        let mut lru: std::collections::VecDeque<u16> = std::collections::VecDeque::new();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..4_000u64 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let port = 1 + (state % 96) as u16;
+            let now = 1 + (state >> 24) % 1_000_000;
+            let evicted_before = t.evicted();
+            let (kind, _) = t.apply(&report(port, now, now as u32, 40, 0));
+            if let Some(pos) = lru.iter().position(|&p| p == port) {
+                assert_eq!(kind, UpdateKind::Updated, "step {step}");
+                lru.remove(pos);
+                assert_eq!(t.evicted(), evicted_before);
+            } else {
+                assert_eq!(kind, UpdateKind::Created, "step {step}");
+                if lru.len() == CAP {
+                    let victim = lru.pop_front().unwrap();
+                    assert_eq!(t.evicted(), evicted_before + 1, "step {step}");
+                    assert!(t.get(&key(victim)).is_none(), "victim {victim} kept");
+                } else {
+                    assert_eq!(t.evicted(), evicted_before);
+                }
+            }
+            lru.push_back(port);
+            assert!(t.len() <= CAP, "table exceeded cap at step {step}");
+            assert_eq!(t.len(), lru.len());
+            for &p in &lru {
+                assert!(t.get(&key(p)).is_some(), "live {p} lost at step {step}");
+            }
+        }
+        assert_eq!(t.evicted(), t.created() - CAP as u64);
     }
 
     #[test]

@@ -205,10 +205,12 @@ proptest! {
 
     /// The slab/open-addressing [`FlowTable`] is bit-identical to the
     /// hashmap reference implementation under arbitrary interleavings of
-    /// INT ingest, sFlow ingest, and idle eviction. The clock is strictly
-    /// increasing so every record's `last_seen_ns` is unique — the
-    /// oldest-idle eviction fallback then has one well-defined victim in
-    /// both tables, making the comparison exact rather than modulo ties.
+    /// INT ingest, sFlow ingest, and idle eviction, both with idle sweeps
+    /// and with a never-idle config where every creation over the cap
+    /// takes the oldest-record fallback. The clock is strictly increasing
+    /// so every record's `last_seen_ns` is unique — the oldest-idle
+    /// eviction fallback then has one well-defined victim in both tables,
+    /// making the comparison exact rather than modulo ties.
     #[test]
     fn slab_flow_table_matches_hashmap_reference(
         ops in proptest::collection::vec(
@@ -219,84 +221,88 @@ proptest! {
         use amlight::features::reference::HashFlowTable;
         use amlight::sflow::FlowSample;
 
-        let cfg = FlowTableConfig {
-            idle_timeout_ns: 50_000,
-            max_flows: 8, // below the 12-key universe: eviction fires
-        };
-        let mut slab = FlowTable::new(cfg);
-        let mut reference = HashFlowTable::new(cfg);
-        let flow = |port: u16| FlowKey::new(
-            [10, 0, 0, 1].into(),
-            [10, 0, 0, 2].into(),
-            5000 + port,
-            443,
-            Protocol::Tcp,
-        );
+        // Idle sweeps at 50 µs, then never idle: with the second config
+        // every creation over the cap takes the capacity fallback.
+        for idle_timeout_ns in [50_000, u64::MAX / 2] {
+            let cfg = FlowTableConfig {
+                idle_timeout_ns,
+                max_flows: 8, // below the 12-key universe: eviction fires
+            };
+            let mut slab = FlowTable::new(cfg);
+            let mut reference = HashFlowTable::new(cfg);
+            let flow = |port: u16| FlowKey::new(
+                [10, 0, 0, 1].into(),
+                [10, 0, 0, 2].into(),
+                5000 + port,
+                443,
+                Protocol::Tcp,
+            );
 
-        for (i, &(op, k, len, stamp)) in ops.iter().enumerate() {
-            let now = (i as u64 + 1) * 10_000;
-            match op {
-                0..=3 => {
-                    let report = TelemetryReport {
-                        flow: flow(k),
-                        ip_len: len,
-                        tcp_flags: Some(0x02),
-                        instructions: InstructionSet::amlight(),
-                        hops: vec![HopMetadata {
-                            switch_id: 1,
-                            ingress_tstamp: stamp.wrapping_sub(400),
-                            egress_tstamp: stamp,
-                            hop_latency: 0,
-                            queue_occupancy: stamp % 32,
-                        }].into(),
-                        export_ns: now,
-                    };
-                    let (k1, r1) = slab.apply(&report.flow_update());
-                    let (f1, seq1, pkts1) = (r1.features(), r1.update_seq, r1.packet_count);
-                    let (k2, r2) = reference.apply(&report.flow_update());
-                    prop_assert_eq!(k1, k2);
-                    prop_assert_eq!(seq1, r2.update_seq);
-                    prop_assert_eq!(pkts1, r2.packet_count);
-                    prop_assert_eq!(f1, r2.features());
-                }
-                4..=6 => {
-                    let sample = FlowSample {
-                        flow: flow(k),
-                        ip_len: len,
-                        tcp_flags: Some(0x10),
-                        observed_ns: now,
-                        sampling_period: 4096,
-                    };
-                    let (k1, r1) = slab.apply(&sample.flow_update());
-                    let (f1, seq1) = (r1.features(), r1.update_seq);
-                    let (k2, r2) = reference.apply(&sample.flow_update());
-                    prop_assert_eq!(k1, k2);
-                    prop_assert_eq!(seq1, r2.update_seq);
-                    prop_assert_eq!(f1, r2.features());
-                }
-                _ => {
-                    prop_assert_eq!(slab.evict_idle(now), reference.evict_idle(now));
+            for (i, &(op, k, len, stamp)) in ops.iter().enumerate() {
+                let now = (i as u64 + 1) * 10_000;
+                match op {
+                    0..=3 => {
+                        let report = TelemetryReport {
+                            flow: flow(k),
+                            ip_len: len,
+                            tcp_flags: Some(0x02),
+                            instructions: InstructionSet::amlight(),
+                            hops: vec![HopMetadata {
+                                switch_id: 1,
+                                ingress_tstamp: stamp.wrapping_sub(400),
+                                egress_tstamp: stamp,
+                                hop_latency: 0,
+                                queue_occupancy: stamp % 32,
+                            }].into(),
+                            export_ns: now,
+                        };
+                        let (k1, r1) = slab.apply(&report.flow_update());
+                        let (f1, seq1, pkts1) = (r1.features(), r1.update_seq, r1.packet_count);
+                        let (k2, r2) = reference.apply(&report.flow_update());
+                        prop_assert_eq!(k1, k2);
+                        prop_assert_eq!(seq1, r2.update_seq);
+                        prop_assert_eq!(pkts1, r2.packet_count);
+                        prop_assert_eq!(f1, r2.features());
+                    }
+                    4..=6 => {
+                        let sample = FlowSample {
+                            flow: flow(k),
+                            ip_len: len,
+                            tcp_flags: Some(0x10),
+                            observed_ns: now,
+                            sampling_period: 4096,
+                        };
+                        let (k1, r1) = slab.apply(&sample.flow_update());
+                        let (f1, seq1) = (r1.features(), r1.update_seq);
+                        let (k2, r2) = reference.apply(&sample.flow_update());
+                        prop_assert_eq!(k1, k2);
+                        prop_assert_eq!(seq1, r2.update_seq);
+                        prop_assert_eq!(f1, r2.features());
+                    }
+                    _ => {
+                        prop_assert_eq!(slab.evict_idle(now), reference.evict_idle(now));
+                    }
                 }
             }
-        }
 
-        prop_assert_eq!(slab.len(), reference.len());
-        prop_assert_eq!(slab.created(), reference.created());
-        prop_assert_eq!(slab.updated(), reference.updated());
-        prop_assert_eq!(slab.evicted(), reference.evicted());
-        for port in 0..12u16 {
-            match (slab.get(&flow(port)), reference.get(&flow(port))) {
-                (Some(a), Some(b)) => {
-                    prop_assert_eq!(a.features(), b.features());
-                    prop_assert_eq!(a.packet_count, b.packet_count);
-                    prop_assert_eq!(a.last_seen_ns, b.last_seen_ns);
+            prop_assert_eq!(slab.len(), reference.len());
+            prop_assert_eq!(slab.created(), reference.created());
+            prop_assert_eq!(slab.updated(), reference.updated());
+            prop_assert_eq!(slab.evicted(), reference.evicted());
+            for port in 0..12u16 {
+                match (slab.get(&flow(port)), reference.get(&flow(port))) {
+                    (Some(a), Some(b)) => {
+                        prop_assert_eq!(a.features(), b.features());
+                        prop_assert_eq!(a.packet_count, b.packet_count);
+                        prop_assert_eq!(a.last_seen_ns, b.last_seen_ns);
+                    }
+                    (None, None) => {}
+                    (a, b) => prop_assert!(
+                        false,
+                        "presence diverged for port {}: slab={} ref={}",
+                        port, a.is_some(), b.is_some()
+                    ),
                 }
-                (None, None) => {}
-                (a, b) => prop_assert!(
-                    false,
-                    "presence diverged for port {}: slab={} ref={}",
-                    port, a.is_some(), b.is_some()
-                ),
             }
         }
     }
